@@ -28,9 +28,9 @@ INGEST_MIN_SPEEDUP ?= $(shell n=$$(nproc 2>/dev/null || echo 1); \
 # Every fuzz target as name:package; each gets its own smoke run because
 # `go test -fuzz` accepts only one matching target at a time.
 FUZZ_TARGETS := FuzzReadFrameCSV:. FuzzReadFrameBinary:. FuzzLoadIndex:. \
-	FuzzConfigCheck:./internal/dram
+	FuzzConfigCheck:./internal/dram FuzzFrameBody:./cmd/quicknnd
 
-.PHONY: all build vet lint lint-syntactic test race fuzz sanitize trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline ci clean
+.PHONY: all build vet lint lint-syntactic test race fuzz sanitize trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline bench-repo ci clean
 
 all: build
 
@@ -192,6 +192,13 @@ bench-ingest-baseline:
 	$(GO) test -run '^$$' -bench '^BenchmarkIngest' -benchmem -benchtime $(BENCHTIME) \
 		-cpu 1 ./internal/kdtree | tee testdata/bench/ingest_baseline.txt
 	@echo "bench-ingest-baseline: OK (testdata/bench/ingest_baseline.txt written)"
+
+## bench-repo: one run of the repository benchmark (BENCHMARK.json,
+## _perfbench/NOTES.md); ARGS picks the workload, seed, length and
+## tracing, e.g. make bench-repo ARGS="--workload serve-mixed --seed 1
+## --seconds 30 --trace 0".
+bench-repo:
+	bash _perfbench/run.sh $(ARGS)
 
 ## ci: everything the pipeline runs, in order.
 ci: build vet lint test race sanitize fuzz trace-demo serve-demo chaos-demo slo-demo

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -165,6 +166,36 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	empty, err := ix.QueryBatch(ctx, nil, QueryOptions{K: 4})
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("QueryBatch(nil) = %v, %v; want empty, nil", empty, err)
+	}
+}
+
+// TestQueryBatchHugeKBounded is the huge-K regression: result backing
+// is sized by min(K, Len()), so a K far above the index size costs
+// memory in proportion to the index. Sized by K, this batch would
+// allocate 64*65536 neighbors (128 MiB); a K near 2^26 ran the process
+// out of memory.
+func TestQueryBatchHugeKBounded(t *testing.T) {
+	ix, err := BuildIndex(apiCloud(1000, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := apiCloud(64, 22)
+	for _, workers := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := ix.QueryBatch(context.Background(), queries, QueryOptions{K: 1 << 16, Mode: ModeExact, Workers: workers})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("workers=%d: QueryBatch: %v", workers, err)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > 16<<20 {
+			t.Errorf("workers=%d: QueryBatch with K=65536 on 1000 points allocated %d bytes, want <= 16 MiB", workers, delta)
+		}
+		for qi, nbrs := range res {
+			if len(nbrs) != ix.Len() {
+				t.Fatalf("workers=%d query %d: %d neighbors, want all %d points", workers, qi, len(nbrs), ix.Len())
+			}
+		}
 	}
 }
 

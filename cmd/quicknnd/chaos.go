@@ -44,14 +44,10 @@ func runChaos(base string, sloOn bool) error {
 	// 1. Ingest frames until one lands. Armed corruption faults may
 	// truncate a frame to nothing — that must surface as the typed
 	// empty_input envelope, never anything else.
-	frame := quicknn.SyntheticFrames(3000, 1, 7)[0]
-	triples := make([][3]float32, len(frame))
-	for i, p := range frame {
-		triples[i] = [3]float32{p.X, p.Y, p.Z}
-	}
+	frame := wirePoints(quicknn.SyntheticFrames(3000, 1, 7)[0])
 	ingested := false
 	for attempt := 0; attempt < 16 && !ingested; attempt++ {
-		status, body, err := post(client, base+"/v1/frame", frameRequest{Points: triples})
+		status, body, err := post(client, base+"/v1/frame", frameRequest{Points: frame})
 		if err != nil {
 			return err
 		}
@@ -87,7 +83,7 @@ func runChaos(base string, sloOn bool) error {
 	violation := func(format string, args ...interface{}) {
 		firstViolation.CompareAndSwap(nil, fmt.Sprintf(format, args...))
 	}
-	queries := [][3]float32{{1, 2, 3}, {40, 50, 60}, {7, 7, 7}, {90, 10, 30}}
+	queries := wirePoints{{X: 1, Y: 2, Z: 3}, {X: 40, Y: 50, Z: 60}, {X: 7, Y: 7, Z: 7}, {X: 90, Y: 10, Z: 30}}
 	// The SLO run needs burst latencies to violate the objective
 	// deterministically, not just when scheduling is unlucky: heavy
 	// requests (many exact queries each) make every queued request's
@@ -95,7 +91,7 @@ func runChaos(base string, sloOn bool) error {
 	// budgets.
 	burstQueries := queries
 	if sloOn {
-		burstQueries = make([][3]float32, 0, 64)
+		burstQueries = make(wirePoints, 0, 64)
 		for len(burstQueries) < 64 {
 			burstQueries = append(burstQueries, queries...)
 		}
@@ -111,7 +107,7 @@ func runChaos(base string, sloOn bool) error {
 				return
 			default:
 			}
-			_, _, _ = post(client, base+"/v1/frame", frameRequest{Points: triples})
+			_, _, _ = post(client, base+"/v1/frame", frameRequest{Points: frame})
 			time.Sleep(10 * time.Millisecond)
 		}
 	}()

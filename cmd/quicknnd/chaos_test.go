@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/quicknn/quicknn"
 	"github.com/quicknn/quicknn/internal/degrade"
 	"github.com/quicknn/quicknn/internal/faults"
 	"github.com/quicknn/quicknn/internal/obs"
@@ -76,7 +77,7 @@ func TestChaosDegradeShedRecover(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				resp, body := postJSON(t, ts.URL+"/v1/search",
-					searchRequest{Queries: [][3]float32{{1, 2, 1}, {40, 30, 1}}, K: 16, Mode: "exact"})
+					searchRequest{Queries: wirePoints{{X: 1, Y: 2, Z: 1}, {X: 40, Y: 30, Z: 1}}, K: 16, Mode: "exact"})
 				switch resp.StatusCode {
 				case http.StatusOK:
 					var sr searchResponse
@@ -165,9 +166,9 @@ func TestChaosDegradeShedRecover(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	for {
-		postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 2, 1}}, K: 2})
+		postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: wirePoints{{X: 1, Y: 2, Z: 1}}, K: 2})
 		resp, body := postJSON(t, ts.URL+"/v1/search",
-			searchRequest{Queries: [][3]float32{{1, 2, 1}}, K: 4, Mode: "exact", Strict: true})
+			searchRequest{Queries: wirePoints{{X: 1, Y: 2, Z: 1}}, K: 4, Mode: "exact", Strict: true})
 		if resp.StatusCode == http.StatusOK {
 			break
 		}
@@ -194,9 +195,9 @@ func TestChaosFrameCorruptionTyped(t *testing.T) {
 
 	// The corruption oracle (same seed, same rule) predicts each visit.
 	oracle := faults.New(5).Set(faults.FrameCorrupt, faults.Rule{Every: 1})
-	pts := make([][3]float32, 64)
+	pts := make(wirePoints, 64)
 	for i := range pts {
-		pts[i] = [3]float32{float32(i), float32(i % 7), 1}
+		pts[i] = quicknn.Point{X: float32(i), Y: float32(i % 7), Z: 1}
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		want := oracle.CorruptLen(len(pts))

@@ -358,7 +358,7 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 		return fmt.Errorf("legacy /healthz before first frame = %d, want 503", status)
 	}
 	// ... and /v1/search must refuse with the no-index taxonomy (503).
-	if status, _, err := post(client, base+"/v1/search", searchRequest{Queries: [][3]float32{{1, 2, 3}}}); err != nil {
+	if status, _, err := post(client, base+"/v1/search", searchRequest{Queries: wirePoints{{X: 1, Y: 2, Z: 3}}}); err != nil {
 		return err
 	} else if status != http.StatusServiceUnavailable {
 		return fmt.Errorf("/v1/search before first frame = %d, want 503", status)
@@ -367,11 +367,7 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 	// 2. Ingest two synthetic frames (epoch advances).
 	frames := quicknn.SyntheticFrames(4000, 2, 42)
 	for fi, frame := range frames {
-		triples := make([][3]float32, len(frame))
-		for i, p := range frame {
-			triples[i] = [3]float32{p.X, p.Y, p.Z}
-		}
-		status, body, err := post(client, base+"/frame", frameRequest{Points: triples})
+		status, body, err := post(client, base+"/frame", frameRequest{Points: frame})
 		if err != nil {
 			return err
 		}
@@ -388,10 +384,7 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 	}
 
 	// 3. Batched search in every mode against the current epoch.
-	queries := make([][3]float32, 32)
-	for i, p := range frames[1][:len(queries)] {
-		queries[i] = [3]float32{p.X, p.Y, p.Z}
-	}
+	queries := wirePoints(frames[1][:32])
 	for _, req := range []searchRequest{
 		{Queries: queries, K: 4},                             // approx (default)
 		{Queries: queries, K: 4, Mode: "exact"},              // exact

@@ -67,10 +67,11 @@ type server struct {
 	prof *prof.Snapshotter
 }
 
-// frameRequest is the /v1/frame body.
+// frameRequest is the /v1/frame body. Clients marshal it; the server
+// parses it with frameDecoder in one pass, not with encoding/json.
 type frameRequest struct {
 	// Points is the frame as [x,y,z] triples.
-	Points [][3]float32 `json:"points"`
+	Points wirePoints `json:"points"`
 }
 
 // frameResponse is the /v1/frame reply.
@@ -85,7 +86,7 @@ type frameResponse struct {
 // searchRequest is the /v1/search body.
 type searchRequest struct {
 	// Queries is the query batch as [x,y,z] triples.
-	Queries [][3]float32 `json:"queries"`
+	Queries wirePoints `json:"queries"`
 	// K is the neighbor count (default 8).
 	K int `json:"k"`
 	// Mode is one of "approx" (default), "exact", "checks", "radius".
@@ -282,6 +283,8 @@ func codeFor(err error) (int, string) {
 		return http.StatusBadRequest, "empty_input"
 	case errors.Is(err, quicknn.ErrInvalidOptions):
 		return http.StatusBadRequest, "bad_request"
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, quicknn.ErrCorruptIndex):
 		return http.StatusInternalServerError, "corrupt_index"
 	default:
@@ -316,12 +319,14 @@ func (s *server) writeEnvelope(w http.ResponseWriter, status int, code, msg stri
 	writeJSON(w, status, resp)
 }
 
-func toPoints(triples [][3]float32) []quicknn.Point {
-	pts := make([]quicknn.Point, len(triples))
-	for i, t := range triples {
-		pts[i] = quicknn.Point{X: t[0], Y: t[1], Z: t[2]}
+// writeBodyError answers a request whose body could not be read or
+// parsed: 413 too_large over maxBodyBytes, 400 bad_request otherwise.
+func (s *server) writeBodyError(w http.ResponseWriter, what string, err error) {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		s.writeError(w, err)
+		return
 	}
-	return pts
+	s.writeEnvelope(w, http.StatusBadRequest, "bad_request", "bad "+what+" body: "+err.Error())
 }
 
 func (s *server) handleFrame(w http.ResponseWriter, r *http.Request) {
@@ -329,12 +334,14 @@ func (s *server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		s.writeEnvelope(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
-	var req frameRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeEnvelope(w, http.StatusBadRequest, "bad_request", "bad frame body: "+err.Error())
+	dec := frameDecoders.Get().(*frameDecoder)
+	defer frameDecoders.Put(dec)
+	points, err := dec.decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err != nil {
+		s.writeBodyError(w, "frame", err)
 		return
 	}
-	info, err := s.engine.Advance(r.Context(), toPoints(req.Points))
+	info, err := s.engine.Advance(r.Context(), points)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -376,8 +383,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeEnvelope(w, http.StatusBadRequest, "bad_request", "bad search body: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		s.writeBodyError(w, "search", err)
 		return
 	}
 	opts, err := parseMode(req)
@@ -400,7 +407,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	res, err := s.engine.Do(ctx, serve.Submission{
-		Queries: toPoints(req.Queries),
+		Queries: req.Queries,
 		Opts:    opts,
 		Strict:  req.Strict,
 		Trace:   trace,

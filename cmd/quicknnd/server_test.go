@@ -45,9 +45,9 @@ func postJSON(t *testing.T, url string, body interface{}) (*http.Response, []byt
 
 func ingestFrame(t *testing.T, ts *httptest.Server, n int, tag float32) frameResponse {
 	t.Helper()
-	pts := make([][3]float32, n)
+	pts := make(wirePoints, n)
 	for i := range pts {
-		pts[i] = [3]float32{float32(i % 97), float32(i % 89), tag}
+		pts[i] = quicknn.Point{X: float32(i % 97), Y: float32(i % 89), Z: tag}
 	}
 	resp, body := postJSON(t, ts.URL+"/frame", frameRequest{Points: pts})
 	if resp.StatusCode != http.StatusOK {
@@ -88,7 +88,7 @@ func TestFrameThenSearchRoundTrip(t *testing.T) {
 		t.Fatalf("frame response %+v, want epoch 1 with 800 points", fr)
 	}
 	resp, body := postJSON(t, ts.URL+"/search", searchRequest{
-		Queries: [][3]float32{{1, 2, 3}, {50, 40, 3}},
+		Queries: wirePoints{{X: 1, Y: 2, Z: 3}, {X: 50, Y: 40, Z: 3}},
 		K:       4,
 		Mode:    "exact",
 	})
@@ -116,7 +116,7 @@ func TestFrameThenSearchRoundTrip(t *testing.T) {
 
 func TestSearchBeforeFrameIsUnavailable(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}})
+	resp, body := postJSON(t, ts.URL+"/search", searchRequest{Queries: wirePoints{{X: 1, Y: 1, Z: 1}}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/search before frame = %d (%s), want 503", resp.StatusCode, body)
 	}
@@ -129,8 +129,8 @@ func TestBadRequestsMapTo400(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 300, 1)
 	for name, req := range map[string]searchRequest{
-		"unknown mode": {Queries: [][3]float32{{1, 1, 1}}, Mode: "psychic"},
-		"negative k":   {Queries: [][3]float32{{1, 1, 1}}, K: -2},
+		"unknown mode": {Queries: wirePoints{{X: 1, Y: 1, Z: 1}}, Mode: "psychic"},
+		"negative k":   {Queries: wirePoints{{X: 1, Y: 1, Z: 1}}, K: -2},
 	} {
 		resp, body := postJSON(t, ts.URL+"/search", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -174,7 +174,7 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 400, 1)
-	postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
+	postJSON(t, ts.URL+"/search", searchRequest{Queries: wirePoints{{X: 1, Y: 1, Z: 1}}, K: 2})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -201,7 +201,7 @@ func TestMetricsExposition(t *testing.T) {
 func TestMetricsRuntimeAndExemplars(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 400, 1)
-	postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
+	postJSON(t, ts.URL+"/search", searchRequest{Queries: wirePoints{{X: 1, Y: 1, Z: 1}}, K: 2})
 
 	// Plain scrape: runtime gauges sampled at scrape time.
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -240,7 +240,7 @@ func TestDebugFlightRecorderEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 500, 2)
 	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 2}, {5, 5, 2}}, K: 3})
+		postJSON(t, ts.URL+"/search", searchRequest{Queries: wirePoints{{X: 1, Y: 1, Z: 2}, {X: 5, Y: 5, Z: 2}}, K: 3})
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/quicknn/flightrecorder")
@@ -273,7 +273,7 @@ func TestDebugFlightRecorderEndpoint(t *testing.T) {
 func TestDebugSlowLogEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 300, 1)
-	postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
+	postJSON(t, ts.URL+"/search", searchRequest{Queries: wirePoints{{X: 1, Y: 1, Z: 1}}, K: 2})
 
 	resp, err := http.Get(ts.URL + "/debug/quicknn/slowlog")
 	if err != nil {

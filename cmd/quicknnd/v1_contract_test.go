@@ -34,6 +34,7 @@ func TestV1ErrorTaxonomyContract(t *testing.T) {
 		{context.Canceled, 499, "canceled"},
 		{quicknn.ErrEmptyInput, http.StatusBadRequest, "empty_input"},
 		{quicknn.ErrInvalidOptions, http.StatusBadRequest, "bad_request"},
+		{&http.MaxBytesError{Limit: maxBodyBytes}, http.StatusRequestEntityTooLarge, "too_large"},
 		{quicknn.ErrCorruptIndex, http.StatusInternalServerError, "corrupt_index"},
 	}
 	seen := map[string]error{}
@@ -107,7 +108,7 @@ func TestEnvelopeEncodingGolden(t *testing.T) {
 // header that is exactly the hint rounded up to whole seconds.
 func TestV1EnvelopeOnTheWire(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}})
+	resp, body := postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: wirePoints{{X: 1, Y: 1, Z: 1}}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/v1/search before frame = %d (%s), want 503", resp.StatusCode, body)
 	}
@@ -131,7 +132,7 @@ func TestV1EnvelopeOnTheWire(t *testing.T) {
 	}
 
 	// Non-503 envelopes carry no retry hint, on the wire too.
-	resp, body = postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, Mode: "psychic"})
+	resp, body = postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: wirePoints{{X: 1, Y: 1, Z: 1}}, Mode: "psychic"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad mode = %d, want 400", resp.StatusCode)
 	}
@@ -150,7 +151,7 @@ func TestLegacyAliasesAnswerIdenticalBytes(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 600, 4)
 
-	search := searchRequest{Queries: [][3]float32{{1, 2, 4}, {30, 20, 4}}, K: 5, Mode: "exact"}
+	search := searchRequest{Queries: wirePoints{{X: 1, Y: 2, Z: 4}, {X: 30, Y: 20, Z: 4}}, K: 5, Mode: "exact"}
 	legacyResp, legacyBody := postJSON(t, ts.URL+"/search", search)
 	v1Resp, v1Body := postJSON(t, ts.URL+"/v1/search", search)
 	if legacyResp.StatusCode != http.StatusOK || v1Resp.StatusCode != http.StatusOK {

@@ -53,12 +53,18 @@ func (s *Scratch) initCands(k int) {
 	}
 	s.k = k
 	s.inserts = 0
-	if cap(s.cands) < k {
-		s.cands = make([]cand, 0, k)
+	if want := min(k, candPrealloc); cap(s.cands) < want {
+		s.cands = make([]cand, 0, want)
 		return
 	}
 	s.cands = s.cands[:0]
 }
+
+// candPrealloc caps the candidate list's up-front allocation. A k beyond
+// it, possibly far beyond the tree's size, grows the list by append only
+// as far as candidates are actually found, so memory follows the tree,
+// not an untrusted k.
+const candPrealloc = 1024
 
 // CandInserts returns the number of candidate-list insertions the most
 // recent (or in-flight) search performed — the shift-and-insert churn of

@@ -25,10 +25,15 @@ type request struct {
 	// results is filled by batch workers, one slot per query.
 	results [][]quicknn.Neighbor
 	// backing is the flat result arena of the k-bounded modes: one
-	// allocation of len(queries)*K neighbor records, with results[qi] a
-	// capacity-capped view of its stride-K region. ModeRadius (unbounded
-	// result counts) leaves it nil and takes per-query slices.
+	// allocation of len(queries)*stride neighbor records, with
+	// results[qi] a capacity-capped view of its stride-long region.
+	// ModeRadius (unbounded result counts) leaves it nil and takes
+	// per-query slices.
 	backing []quicknn.Neighbor
+	// stride is min(K, points of the epoch current at submission): no
+	// query can return more neighbors than the index holds, so an
+	// untrusted huge K costs memory in proportion to the index, not K.
+	stride int
 	// epochID records which snapshot answered the request.
 	epochID uint64
 
@@ -70,7 +75,9 @@ type request struct {
 	trav, buckets, scanned, inserts atomic.Uint64
 }
 
-func newRequest(ctx context.Context, queries []quicknn.Point, opts quicknn.QueryOptions) *request {
+// newRequest builds a request against an index of the given size (the
+// current epoch's point count), which bounds its result stride.
+func newRequest(ctx context.Context, queries []quicknn.Point, opts quicknn.QueryOptions, points int) *request {
 	r := &request{
 		ctx:       ctx,
 		queries:   queries,
@@ -80,22 +87,24 @@ func newRequest(ctx context.Context, queries []quicknn.Point, opts quicknn.Query
 		submitted: obs.MonotonicSeconds(),
 	}
 	if opts.Mode != quicknn.ModeRadius && opts.K > 0 {
-		r.backing = make([]quicknn.Neighbor, len(queries)*opts.K)
+		r.stride = min(opts.K, points)
+		r.backing = make([]quicknn.Neighbor, len(queries)*r.stride)
 	}
 	r.pending.Store(int64(len(queries)))
 	return r
 }
 
 // region returns query qi's slot in the flat result backing: a
-// zero-length, capacity-K view that QueryInto appends into without ever
-// reallocating (each k-bounded mode returns at most K neighbors) and
-// without aliasing a sibling query's span. nil when the request has no
-// backing (ModeRadius, or options that will fail validation anyway).
+// zero-length, capacity-stride view that QueryInto appends into without
+// aliasing a sibling query's span. It never reallocates against the
+// epoch the stride was sized from; a later, larger epoch can only
+// reallocate the query's own slot. nil when the request has no backing
+// (ModeRadius, or options that will fail validation anyway).
 func (r *request) region(qi int) []quicknn.Neighbor {
 	if r.backing == nil {
 		return nil
 	}
-	k := r.opts.K
+	k := r.stride
 	return r.backing[qi*k : qi*k : (qi+1)*k]
 }
 

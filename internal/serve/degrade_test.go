@@ -33,7 +33,7 @@ func pressuredEngine(queueDepth int, dcfg degrade.Config) *Engine {
 // reads as depth/capacity without a batcher draining it.
 func fillQueue(e *Engine, depth int) {
 	for i := 0; i < depth; i++ {
-		e.queue <- newRequest(context.Background(), []quicknn.Point{{X: 1}}, quicknn.QueryOptions{K: 1})
+		e.queue <- newRequest(context.Background(), []quicknn.Point{{X: 1}}, quicknn.QueryOptions{K: 1}, 1)
 	}
 }
 

@@ -556,7 +556,8 @@ func (e *Engine) Do(ctx context.Context, sub Submission) (QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return QueryResult{}, err
 	}
-	if e.current.Load() == nil {
+	cur := e.current.Load()
+	if cur == nil {
 		return QueryResult{}, ErrNoIndex
 	}
 	opts := sub.Opts
@@ -564,7 +565,7 @@ func (e *Engine) Do(ctx context.Context, sub Submission) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	req := newRequest(ctx, sub.Queries, opts)
+	req := newRequest(ctx, sub.Queries, opts, cur.points)
 	req.id = e.reqID.Add(1)
 	req.degradeLevel = uint8(level)
 	req.traceHi, req.traceLo = sub.Trace.Hi, sub.Trace.Lo

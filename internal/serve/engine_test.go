@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,11 +160,11 @@ func TestBackpressureShedsTyped(t *testing.T) {
 	q := []quicknn.Point{{X: 1}}
 	opts := quicknn.QueryOptions{K: 1}
 	for i := 0; i < 2; i++ {
-		if err := e.submit(newRequest(context.Background(), q, opts)); err != nil {
+		if err := e.submit(newRequest(context.Background(), q, opts, opts.K)); err != nil {
 			t.Fatalf("submit %d into empty queue: %v", i, err)
 		}
 	}
-	err := e.submit(newRequest(context.Background(), q, opts))
+	err := e.submit(newRequest(context.Background(), q, opts, opts.K))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit into full queue = %v, want ErrOverloaded", err)
 	}
@@ -255,6 +256,52 @@ func TestQueryMatchesDirectSearch(t *testing.T) {
 			if got[qi][i] != want[i] {
 				t.Fatalf("query %d neighbor %d: got %+v, want %+v", qi, i, got[qi][i], want[i])
 			}
+		}
+	}
+}
+
+// TestDoHugeKBounded is the huge-K regression at the serving layer: a
+// request's result stride is min(K, points of the current epoch), so a
+// K far above the index size cannot allocate len(queries)*K neighbors
+// (128 MiB here; a K near 2^26 ran the process out of memory).
+func TestDoHugeKBounded(t *testing.T) {
+	e := NewEngine(Config{})
+	defer e.Close(context.Background())
+	mustAdvance(t, e, 1, 1000, rand.New(rand.NewSource(31)))
+	queries := taggedFrame(1, 64, rand.New(rand.NewSource(32)))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := e.Do(context.Background(), Submission{Queries: queries, Opts: quicknn.QueryOptions{K: 1 << 16, Mode: quicknn.ModeExact}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 16<<20 {
+		t.Errorf("Do with K=65536 on 1000 points allocated %d bytes, want <= 16 MiB", delta)
+	}
+	for qi, nbrs := range res.Results {
+		if len(nbrs) != 1000 {
+			t.Fatalf("query %d: %d neighbors, want all 1000 points", qi, len(nbrs))
+		}
+	}
+}
+
+// TestRegionGrowthStaysInItsSlot pins the stride contract: a query that
+// finds more neighbors than its stride (a later, larger epoch answered)
+// reallocates its own slot and never writes into a sibling's.
+func TestRegionGrowthStaysInItsSlot(t *testing.T) {
+	r := newRequest(context.Background(), make([]quicknn.Point, 2), quicknn.QueryOptions{K: 8}, 3)
+	grown := r.region(0)
+	for i := 0; i < 8; i++ {
+		grown = append(grown, quicknn.Neighbor{Index: i + 1})
+	}
+	if len(grown) != 8 || cap(r.region(0)) != 3 {
+		t.Fatalf("grown slot len %d, stride %d; want 8 and 3", len(grown), cap(r.region(0)))
+	}
+	for i, nb := range r.backing[3:] { // query 1's slot
+		if nb != (quicknn.Neighbor{}) {
+			t.Fatalf("query 1 slot[%d] = %+v written through query 0's grown slot", i, nb)
 		}
 	}
 }

@@ -192,7 +192,7 @@ func TestFlightRecordsOutcomes(t *testing.T) {
 	// A pre-canceled request entering the worker path: outcome canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := newRequest(ctx, taggedFrame(1, 1, rng), quicknn.QueryOptions{K: 1})
+	req := newRequest(ctx, taggedFrame(1, 1, rng), quicknn.QueryOptions{K: 1}, 1)
 	req.id = e.reqID.Add(1)
 	if err := e.submit(req); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -328,7 +328,7 @@ func TestRecordFlightZeroAlloc(t *testing.T) {
 	if !e.rec {
 		t.Fatal("recording not enabled")
 	}
-	req := newRequest(context.Background(), make([]quicknn.Point, 4), quicknn.QueryOptions{K: 8})
+	req := newRequest(context.Background(), make([]quicknn.Point, 4), quicknn.QueryOptions{K: 8}, 8)
 	req.id = 7
 	req.epochID = 3
 	req.pickedUp = req.submitted

@@ -192,18 +192,20 @@ func (ix *Index) QueryBatch(ctx context.Context, queries []Point, opts QueryOpti
 	}
 	out := make([][]Neighbor, len(queries))
 	// Flat result backing for the k-bounded modes: query qi appends into
-	// backing[qi*K : qi*K : (qi+1)*K] — zero-length, capacity-K regions
-	// that can never reallocate (each mode returns at most K neighbors)
-	// and never alias a neighboring query's span.
+	// backing[qi*stride : qi*stride : (qi+1)*stride] — zero-length regions
+	// that can never reallocate (each mode returns at most min(K, Len())
+	// neighbors) and never alias a neighboring query's span. Sizing by the
+	// index rather than K keeps a huge K from allocating beyond it.
 	var backing []Neighbor
+	stride := min(opts.K, ix.Len())
 	if opts.Mode != ModeRadius {
-		backing = make([]Neighbor, len(queries)*opts.K)
+		backing = make([]Neighbor, len(queries)*stride)
 	}
 	region := func(qi int) []Neighbor {
 		if backing == nil {
 			return nil
 		}
-		return backing[qi*opts.K : qi*opts.K : (qi+1)*opts.K]
+		return backing[qi*stride : qi*stride : (qi+1)*stride]
 	}
 	if opts.Mode == ModeApprox {
 		// The approximate mode runs on the kd-tree's leaf-grouped batch
