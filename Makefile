@@ -30,7 +30,7 @@ INGEST_MIN_SPEEDUP ?= $(shell n=$$(nproc 2>/dev/null || echo 1); \
 FUZZ_TARGETS := FuzzReadFrameCSV:. FuzzReadFrameBinary:. FuzzLoadIndex:. \
 	FuzzConfigCheck:./internal/dram FuzzFrameBody:./cmd/quicknnd
 
-.PHONY: all build vet lint lint-syntactic test race fuzz sanitize trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline bench-repo ci clean
+.PHONY: all build vet lint lint-syntactic test race fuzz sanitize trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline bench-repo loc ci clean
 
 all: build
 
@@ -70,12 +70,12 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
 	done
 
-## sanitize: build and test the runtime sanitizers — the epoch-snapshot
-## lifecycle checker (internal/serve) and the arena lockstep checker
-## (internal/kdtree) — under the race detector, then lint the
-## tag-gated sources the default build excludes (docs/lint.md).
+## sanitize: build and test the runtime sanitizer — the epoch-snapshot
+## lifecycle checker (internal/serve), the only quicknn_sanitize code —
+## under the race detector, then lint the tag-gated sources the default
+## build excludes (docs/lint.md). The race job covers internal/kdtree.
 sanitize:
-	$(GO) test -tags quicknn_sanitize -race ./internal/serve/... ./internal/kdtree/...
+	$(GO) test -tags quicknn_sanitize -race ./internal/serve/...
 	$(GO) test -tags "quicknn_sanitize quicknn_faults" -race ./internal/serve/...
 	$(GO) run ./cmd/quicknnlint -tags quicknn_sanitize ./...
 	$(GO) run ./cmd/quicknnlint -tags quicknn_faults ./...
@@ -199,6 +199,12 @@ bench-ingest-baseline:
 ## --seconds 30 --trace 0".
 bench-repo:
 	bash _perfbench/run.sh $(ARGS)
+
+## loc: print the number of non-test Go lines, leaving out the repository
+## benchmark (_perfbench/) and test fixtures (testdata/).
+loc:
+	@find . \( -name .git -o -name .bench_build -o -name _perfbench -o -name testdata \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 ## ci: everything the pipeline runs, in order.
 ci: build vet lint test race sanitize fuzz trace-demo serve-demo chaos-demo slo-demo

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -227,6 +229,66 @@ func TestProcessCtx(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputRejected checks that every error-returning entry
+// point refuses a NaN or infinite coordinate with ErrInvalidPoint, naming
+// the offending point, instead of indexing it or answering for it.
+func TestNonFiniteInputRejected(t *testing.T) {
+	ctx := context.Background()
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	bad := []Point{{X: nan}, {Y: inf}, {Z: -inf}}
+	for _, p := range bad {
+		cloud := apiCloud(300, 20)
+		cloud[17] = p
+		if _, err := BuildIndex(cloud); !errors.Is(err, ErrInvalidPoint) || !strings.Contains(err.Error(), "point 17 ") {
+			t.Errorf("BuildIndex with %v at 17 = %v, want ErrInvalidPoint naming point 17", p, err)
+		}
+	}
+	if err := CheckPoints([]Point{{X: math.MaxFloat32, Y: -math.MaxFloat32, Z: math.SmallestNonzeroFloat32}}); err != nil {
+		t.Errorf("CheckPoints(extreme finite) = %v, want nil", err)
+	}
+
+	ix, err := BuildIndex(apiCloud(500, 21), WithBucketSize(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	for _, p := range bad {
+		for _, opts := range []QueryOptions{
+			{Mode: ModeApprox, K: 8},
+			{Mode: ModeExact, K: 8},
+			{Mode: ModeChecks, K: 8, Checks: 64},
+			{Mode: ModeRadius, Radius: 1},
+		} {
+			if res, err := ix.Query(ctx, p, opts); !errors.Is(err, ErrInvalidPoint) || res != nil {
+				t.Errorf("Query(%v, %v) = %d neighbors, %v; want none and ErrInvalidPoint", p, opts.Mode, len(res), err)
+			}
+			dst := make([]Neighbor, 0, 8)
+			if res, err := ix.QueryInto(ctx, p, opts, sc, dst); !errors.Is(err, ErrInvalidPoint) || len(res) != 0 {
+				t.Errorf("QueryInto(%v, %v) = %d neighbors, %v; want none and ErrInvalidPoint", p, opts.Mode, len(res), err)
+			}
+			queries := apiCloud(40, 22)
+			queries[33] = p
+			if res, err := ix.QueryBatch(ctx, queries, opts); !errors.Is(err, ErrInvalidPoint) || res != nil ||
+				!strings.Contains(err.Error(), "point 33 ") {
+				t.Errorf("QueryBatch with %v at 33 (%v) = %v; want nil results and ErrInvalidPoint naming point 33", p, opts.Mode, err)
+			}
+		}
+	}
+
+	pl := NewPipeline(PipelineConfig{K: 4})
+	for frame := 0; frame < 2; frame++ {
+		cloud := apiCloud(300, int64(23+frame))
+		cloud[5] = bad[frame]
+		if _, err := pl.ProcessCtx(ctx, cloud); !errors.Is(err, ErrInvalidPoint) {
+			t.Fatalf("ProcessCtx(frame with %v) = %v, want ErrInvalidPoint", bad[frame], err)
+		}
+		res, err := pl.ProcessCtx(ctx, apiCloud(300, int64(25+frame)))
+		if err != nil || res.FrameIndex != frame {
+			t.Fatalf("ProcessCtx after a rejected frame = frame %d, %v; want frame %d (counter not advanced)", res.FrameIndex, err, frame)
+		}
+	}
+}
+
 // tamperFirstBucketIndex locates the first live, non-empty bucket in a
 // serialized index stream and returns the byte offset of its point
 // records' index fields. Stream layout (internal/kdtree/serial.go):
@@ -291,5 +353,12 @@ func TestLoadIndexRejectsCorruptBucketIndices(t *testing.T) {
 	binary.LittleEndian.PutUint32(dup[offsets[1]:], first)
 	if _, err := LoadIndex(bytes.NewReader(dup)); !errors.Is(err, ErrCorruptIndex) {
 		t.Errorf("LoadIndex(duplicate index) = %v, want ErrCorruptIndex", err)
+	}
+
+	// Non-finite: point 0's X becomes NaN, a value no entry point accepts.
+	nan := append([]byte(nil), clean...)
+	binary.LittleEndian.PutUint32(nan[offsets[0]-12:], math.Float32bits(float32(math.NaN())))
+	if _, err := LoadIndex(bytes.NewReader(nan)); !errors.Is(err, ErrCorruptIndex) || !errors.Is(err, ErrInvalidPoint) {
+		t.Errorf("LoadIndex(NaN coordinate) = %v, want ErrCorruptIndex and ErrInvalidPoint", err)
 	}
 }

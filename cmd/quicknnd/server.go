@@ -281,7 +281,7 @@ func codeFor(err error) (int, string) {
 		return 499, "canceled" // client closed request (nginx convention)
 	case errors.Is(err, quicknn.ErrEmptyInput):
 		return http.StatusBadRequest, "empty_input"
-	case errors.Is(err, quicknn.ErrInvalidOptions):
+	case errors.Is(err, quicknn.ErrInvalidOptions), errors.Is(err, quicknn.ErrInvalidPoint):
 		return http.StatusBadRequest, "bad_request"
 	case errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge, "too_large"

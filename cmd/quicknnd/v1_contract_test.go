@@ -57,6 +57,13 @@ func TestV1ErrorTaxonomyContract(t *testing.T) {
 			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.status)
 		}
 	}
+	// A non-finite coordinate is a malformed request, like an
+	// out-of-domain option.
+	for _, err := range []error{quicknn.ErrInvalidPoint, fmt.Errorf("frame: %w", quicknn.ErrInvalidPoint)} {
+		if status, code := codeFor(err); status != http.StatusBadRequest || code != "bad_request" {
+			t.Errorf(`codeFor(%v) = (%d, %q), want (400, "bad_request")`, err, status, code)
+		}
+	}
 	// Anything outside the taxonomy is an opaque 500.
 	if status, code := codeFor(fmt.Errorf("novel failure")); status != http.StatusInternalServerError || code != "internal" {
 		t.Errorf(`codeFor(unknown) = (%d, %q), want (500, "internal")`, status, code)

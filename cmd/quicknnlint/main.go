@@ -10,7 +10,6 @@
 //	panicmsg:    library panics carry a "pkg: " prefix
 //	recordpath:  flight-recorder record paths stay allocation-free and flat
 //	scratchleak: pooled *Scratch reaches its Put on every return path
-//	shadowsync:  arenaPts writes keep the f64 shadow planes in lockstep
 //	walltime:    no wall-clock calls in simulation packages
 //
 // Usage:

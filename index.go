@@ -63,10 +63,14 @@ type Index struct {
 // BuildIndex builds an index over the reference points using the paper's
 // two-phase construction. It is the preferred constructor: invalid input
 // is reported as an error (ErrEmptyInput for an empty cloud,
-// ErrInvalidOptions for out-of-domain options) instead of a panic.
+// ErrInvalidPoint for a NaN or infinite coordinate, ErrInvalidOptions for
+// out-of-domain options) instead of a panic.
 func BuildIndex(points []Point, opts ...Option) (*Index, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("%w (BuildIndex requires at least one reference point)", ErrEmptyInput)
+	}
+	if err := CheckPoints(points); err != nil {
+		return nil, err
 	}
 	o := indexOptions{seed: 1}
 	for _, fn := range opts {
@@ -117,8 +121,8 @@ func (ix *Index) Points() []Point { return ix.ref }
 
 // Search returns up to k approximate nearest neighbors of q, nearest
 // first — the paper's single-bucket approximate search. It is a wrapper
-// over Query with ModeApprox; it panics on invalid k where Query would
-// return ErrInvalidOptions.
+// over Query with ModeApprox; it panics on invalid input (k <= 0, a
+// non-finite q) where Query would return an error.
 func (ix *Index) Search(q Point, k int) []Neighbor {
 	res, err := ix.Query(context.Background(), q, QueryOptions{K: k})
 	if err != nil {
@@ -185,13 +189,18 @@ func (ix *Index) SearchAllParallel(queries []Point, k, workers int) [][]Neighbor
 // incremental tree update (§4.4): the split structure is reused and
 // rebalanced locally instead of rebuilt, keeping every bucket within
 // [mean/2, 2·mean]. The indexed reference set becomes points.
+//
+// Update returns no error and does not check its input: a point with a
+// NaN or infinite coordinate is placed like any other and leaves search
+// answers undefined. Run CheckPoints first on untrusted frames.
 func (ix *Index) Update(points []Point) {
 	ix.ref = append(ix.ref[:0], points...)
 	ix.tree.UpdateFrame(ix.ref, 0, 0)
 }
 
 // UpdateStatic re-populates the index keeping the splits frozen (the
-// paper's static-tree mode — fast, but balance degrades over frames).
+// paper's static-tree mode — fast, but balance degrades over frames). Like
+// Update it does not check its input for non-finite coordinates.
 func (ix *Index) UpdateStatic(points []Point) {
 	ix.ref = append(ix.ref[:0], points...)
 	ix.tree.ResetBuckets()
@@ -240,7 +249,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.tree.WriteTo(w)
 // cover of [0, NumPoints) — out-of-range or duplicated indices from a
 // corrupt or truncated dump — is rejected with an error wrapping
 // ErrCorruptIndex rather than silently reconstructing a zero-filled
-// reference slice.
+// reference slice. So is a point with a NaN or infinite coordinate; that
+// error wraps ErrInvalidPoint as well.
 func LoadIndex(r io.Reader) (*Index, error) {
 	tree, err := kdtree.ReadFrom(r)
 	if err != nil {
@@ -254,11 +264,13 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	ref := make([]Point, n)
 	seen := make([]bool, n)
 	var loadErr error
+	var pts []Point
 	tree.Buckets(func(id int32, b *kdtree.Bucket) {
 		if loadErr != nil {
 			return
 		}
-		pts, ids := tree.BucketPoints(id), tree.BucketIndices(id)
+		pts = tree.AppendBucketPoints(pts[:0], id)
+		ids := tree.BucketIndices(id)
 		for i, idx32 := range ids {
 			idx := int(idx32)
 			if idx < 0 || idx >= n {
@@ -279,6 +291,9 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	})
 	if loadErr != nil {
 		return nil, loadErr
+	}
+	if err := CheckPoints(ref); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
 	}
 	return &Index{tree: tree, ref: ref}, nil
 }

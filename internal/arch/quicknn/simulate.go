@@ -353,6 +353,7 @@ type tsearch struct {
 	queries []geom.Point
 	rg      *gather.Cache
 	bank    *fu.Bank
+	bpts    []geom.Point // bank input: the flushed bucket's points, reused across flushes
 	tb      *tbuild
 	rep     *Report
 
@@ -522,6 +523,7 @@ func (s *tsearch) computeResults(f gather.Flush) {
 	if bk == nil {
 		return
 	}
+	s.bpts = s.tree.AppendBucketPoints(s.bpts[:0], f.Bucket)
 	for base := 0; base < len(f.Items); base += s.cfg.FUs {
 		end := base + s.cfg.FUs
 		if end > len(f.Items) {
@@ -534,7 +536,7 @@ func (s *tsearch) computeResults(f gather.Flush) {
 			ids[i] = int(qi)
 		}
 		s.bank.Load(qs, ids)
-		s.bank.Stream(s.tree.BucketPoints(f.Bucket), s.tree.BucketIndices(f.Bucket))
+		s.bank.Stream(s.bpts, s.tree.BucketIndices(f.Bucket))
 		for _, r := range s.bank.Flush() {
 			s.rep.Results[r.QueryID] = r.Neighbors
 		}

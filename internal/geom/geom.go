@@ -94,6 +94,13 @@ func (p Point) Dot(q Point) float64 {
 // Norm returns the Euclidean length of p treated as a vector.
 func (p Point) Norm() float64 { return math.Sqrt(p.Dot(p)) }
 
+// Finite reports whether every coordinate of p is a finite number: not
+// NaN and not ±Inf (both fail the magnitude bound).
+func (p Point) Finite() bool {
+	const m = math.MaxFloat32
+	return math.Abs(float64(p.X)) <= m && math.Abs(float64(p.Y)) <= m && math.Abs(float64(p.Z)) <= m
+}
+
 // DistSq returns the squared Euclidean distance between p and q.
 //
 // The hardware FUs compare squared distances to avoid a square root; every

@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,20 @@ func liveCapSum(t *Tree) int {
 	sum := 0
 	t.Buckets(func(_ int32, b *Bucket) { sum += int(b.cap) })
 	return sum
+}
+
+// TestValidateAcceptsNaNPoint checks that a tree holding a NaN coordinate
+// (kdtree stores what it is given; the root API rejects such input) passes
+// Validate: the arena keeps each coordinate once, so there is no second
+// copy for NaN != NaN to make look stale.
+func TestValidateAcceptsNaNPoint(t *testing.T) {
+	pts := clusteredPoints(2000, 7)
+	pts[100].Y = float32(math.NaN())
+	tree := mustBuild(t, pts, Config{BucketSize: 64}, 8)
+	tree.UpdateFrame(pts, 0, 0)
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("after update: %v", err)
+	}
 }
 
 func TestArenaInvariantAcrossUpdates(t *testing.T) {

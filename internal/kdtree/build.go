@@ -236,7 +236,6 @@ func (t *Tree) Place(points []geom.Point) {
 // (Build, UpdateFrame) accumulate placement timings next to their other
 // phases.
 func (t *Tree) placeInto(points []geom.Point) {
-	defer t.arenaCheckpoint("Place")
 	workers := t.ingestWorkers()
 	sw := obs.StartStopwatch()
 	if workers <= 1 || len(points) < parallelPlaceMin {
@@ -266,7 +265,6 @@ func (t *Tree) placeInto(points []geom.Point) {
 // buckets are refilled each frame. Arena spans keep their capacity, so
 // re-placing a same-shaped frame touches no allocator at all.
 func (t *Tree) ResetBuckets() {
-	defer t.arenaCheckpoint("ResetBuckets")
 	for i := range t.buckets {
 		if t.buckets[i].live {
 			t.buckets[i].n = 0

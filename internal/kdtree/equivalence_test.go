@@ -20,7 +20,7 @@ import (
 
 // refScanBucket pushes every bucket point, the unhoisted original form.
 func refScanBucket(t *Tree, b int32, q geom.Point, tk *nn.TopK) int {
-	pts, ids := t.BucketPoints(b), t.BucketIndices(b)
+	pts, ids := t.AppendBucketPoints(nil, b), t.BucketIndices(b)
 	for i, p := range pts {
 		tk.Push(nn.Neighbor{Index: int(ids[i]), Point: p, DistSq: q.DistSq(p)})
 	}
@@ -120,7 +120,7 @@ func refSearchRadius(t *Tree, q geom.Point, radius float64) ([]nn.Neighbor, Sear
 	rec = func(idx int32) {
 		nd := t.nodes[idx]
 		if nd.Leaf() {
-			pts, ids := t.BucketPoints(nd.Bucket), t.BucketIndices(nd.Bucket)
+			pts, ids := t.AppendBucketPoints(nil, nd.Bucket), t.BucketIndices(nd.Bucket)
 			for i, p := range pts {
 				if d := q.DistSq(p); d <= r2 {
 					out = append(out, nn.Neighbor{Index: int(ids[i]), Point: p, DistSq: d})

@@ -15,14 +15,14 @@ import (
 // (update.go) run on. Every parallel path here is a determinism-
 // preserving reorganization of the corresponding serial algorithm: for
 // any worker count the resulting tree — node and bucket numbering, free
-// lists, arena layout including holes, coordinate shadow — is
-// byte-identical to what the serial code produces, so query answers
-// (down to tie-breaks, which depend on bucket scan order) cannot change
-// with Parallelism. Workers only ever touch disjoint state: read-only
-// traversals in the plan phases, leaf-disjoint arena spans in the
-// scatter phase, and privately staged node arrays everywhere a subtree
-// is built; all allocation and free-list traffic stays on the calling
-// goroutine, replayed in serial order.
+// lists, arena layout including holes — is byte-identical to what the
+// serial code produces, so query answers (down to tie-breaks, which
+// depend on bucket scan order) cannot change with Parallelism. Workers
+// only ever touch disjoint state: read-only traversals in the plan
+// phases, leaf-disjoint arena spans in the scatter phase, and privately
+// staged node arrays everywhere a subtree is built; all allocation and
+// free-list traffic stays on the calling goroutine, replayed in serial
+// order.
 
 // IngestTiming is the phase breakdown of the most recent ingest
 // operation on a tree: structure build (sampling + splits), point
@@ -316,7 +316,7 @@ func (t *Tree) planPlace(points []geom.Point, pl *placePlan, workers int) (vlen 
 		pl.oOff[b], pl.oN[b] = bk.off, bk.n
 		pl.vOff[b], pl.vCap[b], pl.vN[b] = bk.off, bk.cap, bk.n
 	}
-	vlen = int32(len(t.arenaPts))
+	vlen = int32(len(t.arenaIdx))
 	for i := 0; i < n; i++ {
 		b := pl.leaf[i]
 		if pl.vN[b] == pl.vCap[b] {
@@ -372,7 +372,7 @@ func (t *Tree) planPlace(points []geom.Point, pl *placePlan, workers int) (vlen 
 // one bucket — so they run concurrently. Bucket metadata and hole
 // accounting commit serially afterwards.
 func (t *Tree) scatterPlace(points []geom.Point, pl *placePlan, vlen int32, holes, workers int) {
-	if grow := vlen - int32(len(t.arenaPts)); grow > 0 {
+	if grow := vlen - int32(len(t.arenaIdx)); grow > 0 {
 		t.arenaReserve(grow)
 	}
 	nb := len(t.buckets)
@@ -383,30 +383,15 @@ func (t *Tree) scatterPlace(points []geom.Point, pl *placePlan, vlen int32, hole
 			return
 		}
 		if off != pl.oOff[b] && n0 > 0 {
-			src := pl.oOff[b]
-			copy(t.arenaPts[off:off+n0], t.arenaPts[src:src+n0])
-			copy(t.arenaIdx[off:off+n0], t.arenaIdx[src:src+n0])
-			copy(t.arenaX[off:off+n0], t.arenaX[src:src+n0])
-			copy(t.arenaY[off:off+n0], t.arenaY[src:src+n0])
-			copy(t.arenaZ[off:off+n0], t.arenaZ[src:src+n0])
+			t.copySlots(off, pl.oOff[b], n0)
 		}
 		w := off + n0
 		for _, pi := range group {
-			p := points[pi]
-			t.arenaPts[w] = p
-			t.arenaIdx[w] = pi
-			t.arenaX[w] = float64(p.X)
-			t.arenaY[w] = float64(p.Y)
-			t.arenaZ[w] = float64(p.Z)
+			t.setPoint(w, points[pi], pi)
 			w++
 		}
 		for _, e := range pl.evOrder[pl.evStart[b]:pl.evStart[b+1]] {
-			c, eo := pl.evCap[e], pl.evOff[e]
-			copy(t.arenaPts[eo:eo+c], t.arenaPts[off:off+c])
-			copy(t.arenaIdx[eo:eo+c], t.arenaIdx[off:off+c])
-			copy(t.arenaX[eo:eo+c], t.arenaX[off:off+c])
-			copy(t.arenaY[eo:eo+c], t.arenaY[off:off+c])
-			copy(t.arenaZ[eo:eo+c], t.arenaZ[off:off+c])
+			t.copySlots(pl.evOff[e], off, pl.evCap[e])
 		}
 	})
 	for b := 0; b < nb; b++ {

@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -72,16 +73,15 @@ func requireTreesByteEqual(t *testing.T, label string, serial, par *Tree) {
 	if serial.arenaHole != par.arenaHole {
 		t.Fatalf("%s: arenaHole %d != %d", label, par.arenaHole, serial.arenaHole)
 	}
-	if len(serial.arenaPts) != len(par.arenaPts) {
-		t.Fatalf("%s: arena length %d != %d", label, len(par.arenaPts), len(serial.arenaPts))
+	if len(serial.arenaIdx) != len(par.arenaIdx) {
+		t.Fatalf("%s: arena length %d != %d", label, len(par.arenaIdx), len(serial.arenaIdx))
 	}
-	for i := range serial.arenaPts {
-		if serial.arenaPts[i] != par.arenaPts[i] || serial.arenaIdx[i] != par.arenaIdx[i] {
+	bits := math.Float64bits
+	for i := range serial.arenaIdx {
+		if bits(serial.arenaX[i]) != bits(par.arenaX[i]) || bits(serial.arenaY[i]) != bits(par.arenaY[i]) ||
+			bits(serial.arenaZ[i]) != bits(par.arenaZ[i]) || serial.arenaIdx[i] != par.arenaIdx[i] {
 			t.Fatalf("%s: arena slot %d = {%v, %d}, want {%v, %d}", label, i,
-				par.arenaPts[i], par.arenaIdx[i], serial.arenaPts[i], serial.arenaIdx[i])
-		}
-		if serial.arenaX[i] != par.arenaX[i] || serial.arenaY[i] != par.arenaY[i] || serial.arenaZ[i] != par.arenaZ[i] {
-			t.Fatalf("%s: shadow slot %d diverges", label, i)
+				par.point(int32(i)), par.arenaIdx[i], serial.point(int32(i)), serial.arenaIdx[i])
 		}
 	}
 	if err := par.Validate(); err != nil {

@@ -64,14 +64,14 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 		if err := put(live, uint32(b.Leaf), uint32(b.n)); err != nil {
 			return cw.n, err
 		}
-		// Per-bucket point records from the arena span. The wire format is
-		// unchanged from the per-bucket-slice layout: a dump written before
-		// the SoA arena loads bit-identically after it (and vice versa).
-		pts := t.arenaPts[b.off : b.off+b.n]
-		idxs := t.arenaIdx[b.off : b.off+b.n]
-		for j, p := range pts {
+		// Per-bucket point records from the arena span, narrowed back to
+		// float32 (exact: the planes hold widened float32s). The wire
+		// format is unchanged since the per-bucket-slice layout; the root
+		// package's golden dump (testdata/index_v1.qkdt) pins it.
+		for j := b.off; j < b.off+b.n; j++ {
+			p := t.point(j)
 			if err := put(math.Float32bits(p.X), math.Float32bits(p.Y), math.Float32bits(p.Z),
-				uint32(idxs[j])); err != nil {
+				uint32(t.arenaIdx[j])); err != nil {
 				return cw.n, err
 			}
 		}
@@ -180,14 +180,12 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 			if err := getN(prec); err != nil {
 				return nil, fmt.Errorf("kdtree: bucket %d point %d: %v", i, j, err)
 			}
-			t.arenaPts[b.off+j] = geom.Point{
+			t.setPoint(b.off+j, geom.Point{
 				X: math.Float32frombits(prec[0]),
 				Y: math.Float32frombits(prec[1]),
 				Z: math.Float32frombits(prec[2]),
-			}
-			t.arenaIdx[b.off+j] = int32(prec[3])
+			}, int32(prec[3]))
 		}
-		t.syncShadow(b.off, b.off+n)
 		if !b.live {
 			// A dead bucket slot has no span (its count is zero for dumps
 			// we write; tolerate garbage by retiring whatever was claimed).
@@ -215,6 +213,5 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("kdtree: loaded tree invalid: %v", err)
 	}
-	t.arenaCheckpoint("ReadFrom")
 	return t, nil
 }

@@ -81,7 +81,6 @@ type rebPending struct {
 // ratchet — every merge raises the mean, which widens the bounds, which
 // triggers more merges on the next frame.)
 func (t *Tree) UpdateFrame(points []geom.Point, lower, upper int) UpdateResult {
-	defer t.arenaCheckpoint("UpdateFrame")
 	t.lastIngest = IngestTiming{}
 	t.ResetBuckets()
 	t.placeInto(points)
@@ -113,7 +112,6 @@ func (t *Tree) rebalance(lower, upper int) UpdateResult {
 	if lower <= 0 || upper <= lower {
 		panic("kdtree: Rebalance requires 0 < lower < upper")
 	}
-	defer t.arenaCheckpoint("Rebalance")
 	sw := obs.StartStopwatch()
 	workers := t.ingestWorkers()
 	var res UpdateResult
@@ -307,7 +305,7 @@ func (t *Tree) appendCollectTask(tasks []rebTask, idx int32, freed *freedSet, re
 func (t *Tree) collectDeferred(idx int32, tk *rebTask, freed *freedSet, keepRoot bool) {
 	nd := t.nodes[idx]
 	if nd.Leaf() {
-		tk.pts = append(tk.pts, t.BucketPoints(nd.Bucket)...)
+		tk.pts = t.AppendBucketPoints(tk.pts, nd.Bucket)
 		tk.idxs = append(tk.idxs, t.BucketIndices(nd.Bucket)...)
 		t.arenaHole += int(t.buckets[nd.Bucket].cap)
 		t.buckets[nd.Bucket] = Bucket{}
@@ -376,15 +374,7 @@ func (t *Tree) commitRebuild(tk *rebTask, freed *freedSet, res *UpdateResult) {
 func (t *Tree) commitStaged(tk *rebTask, si, idx int32, freed *freedSet, res *UpdateResult) {
 	sn := tk.nodes[si]
 	if sn.leaf {
-		b := t.bucket(idx)
-		t.nodes[idx].Bucket = b
-		n := sn.hi - sn.lo
-		off := t.arenaReserve(n)
-		copy(t.arenaPts[off:off+n], tk.pts[sn.lo:sn.hi])
-		copy(t.arenaIdx[off:off+n], tk.idxs[sn.lo:sn.hi])
-		t.syncShadow(off, off+n)
-		bk := &t.buckets[b]
-		bk.off, bk.n, bk.cap = off, n, n
+		t.makeLeaf(idx, tk.pts[sn.lo:sn.hi], tk.idxs[sn.lo:sn.hi])
 		return
 	}
 	left := t.node()
@@ -421,7 +411,7 @@ func (t *Tree) rebuildAt(idx int32, target int, freed *freedSet, res *UpdateResu
 func (t *Tree) collectSubtree(idx int32, pts *[]geom.Point, idxs *[]int32, freed *freedSet, keepRoot bool) {
 	nd := t.nodes[idx]
 	if nd.Leaf() {
-		*pts = append(*pts, t.BucketPoints(nd.Bucket)...)
+		*pts = t.AppendBucketPoints(*pts, nd.Bucket)
 		*idxs = append(*idxs, t.BucketIndices(nd.Bucket)...)
 		t.freeBucket(nd.Bucket)
 	} else {
@@ -442,24 +432,13 @@ func (t *Tree) collectSubtree(idx int32, pts *[]geom.Point, idxs *[]int32, freed
 // splitting groups larger than target at the median along cycling axes
 // (the same sorter/partition datapath TBuild already has, per §4.4).
 func (t *Tree) rebuildNode(idx int32, s pointSet, axis geom.Axis, target int, freed *freedSet, res *UpdateResult) {
-	makeLeaf := func() {
-		b := t.bucket(idx)
-		t.nodes[idx].Bucket = b
-		n := int32(len(s.pts))
-		off := t.arenaReserve(n)
-		copy(t.arenaPts[off:off+n], s.pts)
-		copy(t.arenaIdx[off:off+n], s.idxs)
-		t.syncShadow(off, off+n)
-		bk := &t.buckets[b]
-		bk.off, bk.n, bk.cap = off, n, n
-	}
 	if len(s.pts) <= target {
-		makeLeaf()
+		t.makeLeaf(idx, s.pts, s.idxs)
 		return
 	}
 	splitAxis, threshold, lo, hi, ok := chooseSplit(s, axis)
 	if !ok {
-		makeLeaf() // degenerate: all points identical
+		t.makeLeaf(idx, s.pts, s.idxs) // degenerate: all points identical
 		return
 	}
 	left := t.node()
@@ -475,6 +454,20 @@ func (t *Tree) rebuildNode(idx int32, s pointSet, axis geom.Axis, target int, fr
 	t.nodes[right].Parent = idx
 	t.rebuildNode(left, lo, splitAxis.Next(), target, freed, res)
 	t.rebuildNode(right, hi, splitAxis.Next(), target, freed, res)
+}
+
+// makeLeaf gives node idx a new bucket holding exactly the given points,
+// in order, in a fresh span at the arena tail.
+func (t *Tree) makeLeaf(idx int32, pts []geom.Point, idxs []int32) {
+	b := t.bucket(idx)
+	t.nodes[idx].Bucket = b
+	n := int32(len(pts))
+	off := t.arenaReserve(n)
+	for i, p := range pts {
+		t.setPoint(off+int32(i), p, idxs[i])
+	}
+	bk := &t.buckets[b]
+	bk.off, bk.n, bk.cap = off, n, n
 }
 
 // depthOf returns the depth of node idx by following parent links.

@@ -12,7 +12,6 @@
 //   - ctxfirst:    context.Context first and never stored in a struct
 //   - atomicfield: sync/atomic'd struct fields atomic everywhere + aligned
 //   - scratchleak: pooled Scratch reaches a Put on every return path
-//   - shadowsync:  arenaPts writes keep the f64 coordinate shadow in step
 //   - recordpath:  flight-recorder record paths stay allocation-free and flat
 //
 // The framework has two drivers. The typed driver (TypeCheckModule +

@@ -13,13 +13,12 @@ import (
 	"github.com/quicknn/quicknn/internal/lint/panicmsg"
 	"github.com/quicknn/quicknn/internal/lint/recordpath"
 	"github.com/quicknn/quicknn/internal/lint/scratchleak"
-	"github.com/quicknn/quicknn/internal/lint/shadowsync"
 	"github.com/quicknn/quicknn/internal/lint/walltime"
 )
 
-// All lists every analyzer the quicknnlint multichecker runs. The last
-// three are typed-only (NeedsTypes): they run under the typed driver and
-// are skipped in degraded syntactic mode.
+// All lists every analyzer the quicknnlint multichecker runs. atomicfield
+// and scratchleak are typed-only (NeedsTypes): they run under the typed
+// driver and are skipped in degraded syntactic mode.
 var All = []*lint.Analyzer{
 	atomicfield.Analyzer,
 	ctxfirst.Analyzer,
@@ -28,6 +27,5 @@ var All = []*lint.Analyzer{
 	panicmsg.Analyzer,
 	recordpath.Analyzer,
 	scratchleak.Analyzer,
-	shadowsync.Analyzer,
 	walltime.Analyzer,
 }

@@ -68,7 +68,6 @@ func TestSuiteIsComplete(t *testing.T) {
 		"panicmsg":    true,
 		"recordpath":  true,
 		"scratchleak": true,
-		"shadowsync":  true,
 		"walltime":    true,
 	}
 	if len(rules.All) != len(want) {
@@ -77,7 +76,6 @@ func TestSuiteIsComplete(t *testing.T) {
 	typedOnly := map[string]bool{
 		"atomicfield": true,
 		"scratchleak": true,
-		"shadowsync":  true,
 	}
 	for _, a := range rules.All {
 		if !want[a.Name] {

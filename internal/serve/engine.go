@@ -283,7 +283,9 @@ func (e *Engine) Index() *quicknn.Index {
 // background of the read path, then swaps it in atomically. Readers keep
 // searching the previous epoch throughout; the previous epoch is retired
 // once its last in-flight query drains. Advances are serialized with each
-// other but never block queries.
+// other but never block queries. A frame holding a NaN or infinite
+// coordinate is rejected with an error wrapping quicknn.ErrInvalidPoint
+// and leaves the current epoch in place.
 func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo, error) {
 	// Fault seam: a firing FrameCorrupt rule truncates the frame to a
 	// deterministic prefix; an empty prefix surfaces as the typed
@@ -291,6 +293,9 @@ func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo,
 	frame = frame[:e.flt.CorruptLen(len(frame))]
 	if len(frame) == 0 {
 		return FrameInfo{}, fmt.Errorf("%w (Advance requires a non-empty frame)", quicknn.ErrEmptyInput)
+	}
+	if err := quicknn.CheckPoints(frame); err != nil {
+		return FrameInfo{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return FrameInfo{}, err

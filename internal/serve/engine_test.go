@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -312,6 +313,35 @@ func TestAdvanceRejectsEmptyFrame(t *testing.T) {
 	defer e.Close(context.Background())
 	if _, err := e.Advance(context.Background(), nil); !errors.Is(err, quicknn.ErrEmptyInput) {
 		t.Fatalf("Advance(nil) = %v, want ErrEmptyInput", err)
+	}
+}
+
+// TestAdvanceRejectsNonFiniteFrame checks that a frame with a NaN or
+// infinite coordinate is refused with quicknn.ErrInvalidPoint, both as the
+// first frame and after one, and that a refused frame leaves the current
+// epoch serving.
+func TestAdvanceRejectsNonFiniteFrame(t *testing.T) {
+	e := NewEngine(Config{})
+	defer e.Close(context.Background())
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	frame := taggedFrame(1, 500, rng)
+	frame[9].Y = float32(math.Inf(-1))
+	if _, err := e.Advance(ctx, frame); !errors.Is(err, quicknn.ErrInvalidPoint) {
+		t.Fatalf("Advance(first frame with -Inf) = %v, want ErrInvalidPoint", err)
+	}
+	if e.Index() != nil {
+		t.Fatal("refused first frame installed an index")
+	}
+	mustAdvance(t, e, 2, 500, rng)
+	cur := e.Index()
+	frame = taggedFrame(3, 500, rng)
+	frame[499].X = float32(math.NaN())
+	if _, err := e.Advance(ctx, frame); !errors.Is(err, quicknn.ErrInvalidPoint) {
+		t.Fatalf("Advance(frame with NaN) = %v, want ErrInvalidPoint", err)
+	}
+	if e.Index() != cur {
+		t.Fatal("refused frame replaced the current epoch")
 	}
 }
 

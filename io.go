@@ -98,17 +98,21 @@ func ReadFrameBinary(r io.Reader) ([]Point, error) {
 	if n > maxPoints {
 		return nil, fmt.Errorf("quicknn: frame claims %d points", n)
 	}
-	pts := make([]Point, n)
+	// The header's count is unverified until the records arrive, so the
+	// slice grows with the data read rather than being sized by the claim:
+	// a short body with a huge count fails after allocating what it
+	// carried, not gigabytes.
+	pts := make([]Point, 0, min(n, 1<<16))
 	var rec [12]byte
-	for i := range pts {
+	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("quicknn: point %d: %v", i, err)
 		}
-		pts[i] = Point{
+		pts = append(pts, Point{
 			X: math.Float32frombits(binary.LittleEndian.Uint32(rec[0:4])),
 			Y: math.Float32frombits(binary.LittleEndian.Uint32(rec[4:8])),
 			Z: math.Float32frombits(binary.LittleEndian.Uint32(rec[8:12])),
-		}
+		})
 	}
 	return pts, nil
 }

@@ -2,7 +2,11 @@ package quicknn
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"math"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -87,6 +91,21 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrameBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated body should fail")
 	}
+	// A header claiming 4M points over a one-point body must fail without
+	// allocating for the claim (48 MiB); a claim near the 2^28 cap once
+	// took the fuzzer's worker down.
+	claim := append([]byte(nil), buf.Bytes()...)
+	binary.LittleEndian.PutUint32(claim[4:8], 1<<22)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrameBinary(bytes.NewReader(claim))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("body shorter than the header's count should fail")
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 4<<20 {
+		t.Errorf("short frame claiming 4M points allocated %d bytes, want <= 4 MiB", delta)
+	}
 }
 
 func TestSearchRadiusFacade(t *testing.T) {
@@ -101,13 +120,6 @@ func TestSearchRadiusFacade(t *testing.T) {
 			t.Fatalf("result outside radius: %v", r.DistSq)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
@@ -146,6 +158,75 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	loaded.Update(qry)
 	if loaded.Len() != len(qry) {
 		t.Errorf("update after load: %d points", loaded.Len())
+	}
+}
+
+// goldenIndex rebuilds the index behind testdata/index_v1.qkdt: a
+// 2000-point scene (SuccessiveFrames seed 13) built with 64-point buckets
+// and then updated to the next frame, so the dump carries rebalanced
+// buckets, dead bucket slots and non-empty free lists. The file was written
+// by the float32-AoS arena's WriteTo; it pins the serialized format (v1)
+// bit for bit across changes to the in-memory arena layout.
+func goldenIndex(t *testing.T) (*Index, []Point) {
+	t.Helper()
+	ref, qry := SuccessiveFrames(2000, 13)
+	ix, err := BuildIndex(ref, WithBucketSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Update(qry)
+	return ix, ref
+}
+
+func TestIndexDumpMatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/index_v1.qkdt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, queries := goldenIndex(t)
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("WriteTo wrote %d bytes that differ from the %d-byte golden dump", buf.Len(), len(golden))
+	}
+	loaded, err := LoadIndex(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := loaded.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatal("re-serializing the loaded golden dump changed its bytes")
+	}
+	ctx := context.Background()
+	for _, opts := range []QueryOptions{
+		{Mode: ModeApprox, K: 8},
+		{Mode: ModeExact, K: 8},
+		{Mode: ModeChecks, K: 8, Checks: 256},
+		{Mode: ModeRadius, Radius: 1.5},
+	} {
+		for i := 0; i < len(queries); i += 7 {
+			want, err := ix.Query(ctx, queries[i], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.Query(ctx, queries[i], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v query %d: %d neighbors after load, want %d", opts.Mode, i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%v query %d neighbor %d: %+v after load, want %+v", opts.Mode, i, j, got[j], want[j])
+				}
+			}
+		}
 	}
 }
 

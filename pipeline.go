@@ -101,7 +101,8 @@ func (p *Pipeline) Process(frame []Point) FrameResult {
 
 // ProcessCtx ingests the next frame and returns its result. It is the
 // error-returning, context-aware form of Process: an empty frame is
-// rejected with ErrEmptyInput (the stream's frame counter does not
+// rejected with ErrEmptyInput and a frame holding a NaN or infinite
+// coordinate with ErrInvalidPoint (the stream's frame counter does not
 // advance), and ctx cancellation is honored mid-search — the per-frame
 // kNN fan-out checks ctx between query chunks and returns ctx.Err(),
 // leaving the index on the previous frame so the caller can retry or
@@ -109,6 +110,9 @@ func (p *Pipeline) Process(frame []Point) FrameResult {
 func (p *Pipeline) ProcessCtx(ctx context.Context, frame []Point) (FrameResult, error) {
 	if len(frame) == 0 {
 		return FrameResult{}, fmt.Errorf("%w (frame %d is empty)", ErrEmptyInput, p.count)
+	}
+	if err := CheckPoints(frame); err != nil {
+		return FrameResult{}, fmt.Errorf("frame %d: %w", p.count, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return FrameResult{}, err

@@ -116,6 +116,9 @@ func (ix *Index) QueryInto(ctx context.Context, q Point, opts QueryOptions, sc *
 	if err := opts.validate(); err != nil {
 		return dst, err
 	}
+	if !q.Finite() {
+		return dst, fmt.Errorf("%w: query is (%g, %g, %g)", ErrInvalidPoint, q.X, q.Y, q.Z)
+	}
 	if sc == nil || sc.s == nil {
 		return dst, fmt.Errorf("%w: QueryInto requires a Scratch from NewScratch", ErrInvalidOptions)
 	}
@@ -178,6 +181,9 @@ func (ix *Index) QueryBatch(ctx context.Context, queries []Point, opts QueryOpti
 		return nil, err
 	}
 	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if err := CheckPoints(queries); err != nil {
 		return nil, err
 	}
 	if len(queries) == 0 {
